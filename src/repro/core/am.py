@@ -131,8 +131,11 @@ class YarnExecutionBackend(ExecutionBackend):
             am.rm.release_container(container)
             if am.scheduler.pending_count() > 0:
                 yield am.env.timeout(1.0)
-                replacement = am.rm.request_container(am._app, resource)
-                am.env.process(self._allocation_chain(replacement, resource))
+                # The run may have ended during the back-off, and its AM
+                # unregistered from the RM: nothing is left to ask for.
+                if not (core.done.triggered or core.workflow_failed):
+                    replacement = am.rm.request_container(am._app, resource)
+                    am.env.process(self._allocation_chain(replacement, resource))
             core.check_done()
             return
         attempt = core.attempt_for(task.task_id)

@@ -9,7 +9,7 @@ the re-executable trace language (``repro.langs.tracelang``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = [
@@ -38,8 +38,18 @@ def _next_event_id() -> str:
     return f"event-{next(_event_ids):08d}"
 
 
+class _Record:
+    """Flat serialisation shared by the event records."""
+
+    def to_dict(self) -> dict:
+        # An instance dict lists the fields in declaration order, so a
+        # shallow copy equals ``dataclasses.asdict`` key for key while
+        # skipping its recursive deep copy of every scalar.
+        return dict(self.__dict__)
+
+
 @dataclass
-class WorkflowEvent:
+class WorkflowEvent(_Record):
     """Start/end record for one workflow execution."""
 
     workflow_id: str
@@ -51,12 +61,9 @@ class WorkflowEvent:
     kind: str = WORKFLOW_EVENT
     event_id: str = field(default_factory=_next_event_id)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
-class TaskEvent:
+class TaskEvent(_Record):
     """Completion (or failure) record for one task attempt."""
 
     workflow_id: str
@@ -78,11 +85,17 @@ class TaskEvent:
     event_id: str = field(default_factory=_next_event_id)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        record = dict(self.__dict__)
+        # The only container fields: fresh copies, so the record never
+        # aliases the event.
+        record["inputs"] = list(self.inputs)
+        record["outputs"] = list(self.outputs)
+        record["output_sizes"] = dict(self.output_sizes)
+        return record
 
 
 @dataclass
-class FileEvent:
+class FileEvent(_Record):
     """Stage-in / stage-out record for one file of one task."""
 
     workflow_id: str
@@ -96,9 +109,6 @@ class FileEvent:
     local_fraction: float = 0.0
     kind: str = FILE_EVENT
     event_id: str = field(default_factory=_next_event_id)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _KIND_TO_CLASS = {

@@ -12,7 +12,8 @@ backends here mirror that line-up with offline equivalents:
   standing in for Couchbase.
 
 All three serve the query the adaptive scheduler needs: the *latest*
-observed runtime per (task signature, node) pair.
+observed runtime per (task signature, node) pair, from an index kept
+on write rather than a scan of the records.
 """
 
 from __future__ import annotations
@@ -75,14 +76,48 @@ class ProvenanceStore:
         raise NotImplementedError
 
 
-class TraceFileStore(ProvenanceStore):
+class _IndexedStore(ProvenanceStore):
+    """A store answering the scheduler's queries from an in-memory index.
+
+    ``_latest`` maps (signature, node) to the (timestamp, makespan) of
+    the latest successful task record. A record replaces the entry
+    unless it is strictly older, so the last-appended record wins a
+    timestamp tie, as SQL's ``timestamp DESC, rowid DESC`` does.
+    """
+
+    def __init__(self):
+        self._latest: dict[tuple[str, str], tuple[float, float]] = {}
+
+    def _index(self, record: dict) -> None:
+        if record["kind"] == TASK_EVENT and record["success"]:
+            key = (record["signature"], record["node_id"])
+            timestamp = record["timestamp"]
+            current = self._latest.get(key)
+            if current is None or timestamp >= current[0]:
+                self._latest[key] = (timestamp, record["makespan_seconds"])
+
+    def latest_task_runtime(self, signature, node_id):
+        entry = self._latest.get((signature, node_id))
+        return None if entry is None else entry[1]
+
+    def observed_nodes(self, signature: str) -> set[str]:
+        return {node for sig, node in self._latest if sig == signature}
+
+    def clear(self) -> None:
+        self._latest.clear()
+
+
+class TraceFileStore(_IndexedStore):
     """JSON-lines trace, Hi-WAY's default backend."""
 
     def __init__(self):
+        super().__init__()
         self._records: list[dict] = []
 
     def append(self, event) -> None:
-        self._records.append(event.to_dict())
+        record = event.to_dict()
+        self._records.append(record)
+        self._index(record)
 
     def records(self, kind=None, workflow_id=None) -> list[dict]:
         result = self._records
@@ -92,22 +127,8 @@ class TraceFileStore(ProvenanceStore):
             result = [r for r in result if r.get("workflow_id") == workflow_id]
         return list(result)
 
-    def latest_task_runtime(self, signature, node_id):
-        latest: Optional[float] = None
-        latest_ts = float("-inf")
-        for record in self._records:
-            if (
-                record["kind"] == TASK_EVENT
-                and record["signature"] == signature
-                and record["node_id"] == node_id
-                and record["success"]
-                and record["timestamp"] >= latest_ts
-            ):
-                latest = record["makespan_seconds"]
-                latest_ts = record["timestamp"]
-        return latest
-
     def clear(self) -> None:
+        super().clear()
         self._records.clear()
 
     # -- (de)serialisation -----------------------------------------------------
@@ -132,6 +153,7 @@ class TraceFileStore(ProvenanceStore):
                 ) from exc
             event_from_dict(record)  # validates the shape
             store._records.append(record)
+            store._index(record)
         return store
 
     def save(self, path: str) -> None:
@@ -233,21 +255,21 @@ class SqlProvenanceStore(ProvenanceStore):
         return row[0]
 
 
-class DocumentProvenanceStore(ProvenanceStore):
+class DocumentProvenanceStore(_IndexedStore):
     """Document-oriented backend (in-memory Couchbase stand-in).
 
     Documents are keyed by event id and grouped into per-kind buckets;
-    a simple map-style index keeps the latest runtime per
+    the shared map-style index keeps the latest runtime per
     (signature, node) pair current on write.
     """
 
     def __init__(self):
+        super().__init__()
         self._buckets: dict[str, dict[str, dict]] = {
             WORKFLOW_EVENT: {},
             TASK_EVENT: {},
             FILE_EVENT: {},
         }
-        self._latest_runtime: dict[tuple[str, str], tuple[float, float]] = {}
 
     def append(self, event) -> None:
         record = event.to_dict()
@@ -255,12 +277,7 @@ class DocumentProvenanceStore(ProvenanceStore):
         if bucket is None:
             raise ProvenanceError(f"unknown event kind {record['kind']!r}")
         bucket[record["event_id"]] = record
-        if record["kind"] == TASK_EVENT and record["success"]:
-            key = (record["signature"], record["node_id"])
-            timestamp = record["timestamp"]
-            current = self._latest_runtime.get(key)
-            if current is None or timestamp >= current[0]:
-                self._latest_runtime[key] = (timestamp, record["makespan_seconds"])
+        self._index(record)
 
     def records(self, kind=None, workflow_id=None) -> list[dict]:
         if kind is not None:
@@ -277,11 +294,7 @@ class DocumentProvenanceStore(ProvenanceStore):
         result.sort(key=lambda r: r["event_id"])
         return result
 
-    def latest_task_runtime(self, signature, node_id):
-        entry = self._latest_runtime.get((signature, node_id))
-        return entry[1] if entry else None
-
     def clear(self) -> None:
+        super().clear()
         for bucket in self._buckets.values():
             bucket.clear()
-        self._latest_runtime.clear()

@@ -79,6 +79,14 @@ class HeftScheduler(StaticScheduler):
 
             random.Random(self._seed).shuffle(workers)
         provenance = context.provenance
+        # Provenance cannot change while a plan is built, so each
+        # (signature, node) pair is estimated once per plan; Montage,
+        # for one, repeats a handful of signatures across all its tasks.
+        estimate = {
+            (signature, node): self._estimate(provenance, signature, node, workers)
+            for signature in dict.fromkeys(task.signature for task in tasks)
+            for node in workers
+        }
 
         # Dependency structure from file producer/consumer relations.
         producer: dict[str, str] = {}
@@ -97,10 +105,8 @@ class HeftScheduler(StaticScheduler):
 
         # Mean estimated runtime per task (used for upward ranks).
         mean_w = {
-            task.task_id: sum(
-                self._estimate(provenance, task.signature, node, workers)
-                for node in workers
-            ) / len(workers)
+            task.task_id: sum(estimate[task.signature, node] for node in workers)
+            / len(workers)
             for task in tasks
         }
 
@@ -130,8 +136,7 @@ class HeftScheduler(StaticScheduler):
             best_key = None
             candidates: list[tuple[str, float]] = []
             for index, node in enumerate(workers):
-                estimate = self._estimate(provenance, task.signature, node, workers)
-                eft = max(avail[node], ready) + estimate
+                eft = max(avail[node], ready) + estimate[task.signature, node]
                 if audited:
                     candidates.append((node, eft))
                 # Ties (ubiquitous while estimates are zero) spread by

@@ -404,6 +404,24 @@ def test_service_runner_reject_overflow_records_rejections():
     assert "FAIL" in report.render()
 
 
+def test_fixed_containers_back_off_outlives_the_workflow():
+    """A container no queued task can use is returned and replaced after
+    a one-heartbeat back-off; the workflow may finish and its AM
+    unregister in between. This run (the CLI's ``serve-sim
+    --fixed-containers --rate-per-h 30 --horizon-s 14400 --seed 0``)
+    used to crash with ``YarnError: unknown application``."""
+    config = ServiceConfig(adaptive_container_sizing=False, seed=0)
+    report = ServiceRunner(config).run(
+        PoissonArrivals(30.0 / 3600.0, seed=0), horizon_s=14400.0
+    )
+    assert report.submitted == 118
+    assert not report.unfinished
+    assert len(report.completed) == report.submitted
+    # The only failures are RNA-seq runs whose trimmomatic step runs out
+    # of memory in the fixed-size containers.
+    assert report.failed and {r.kind for r in report.failed} == {"rnaseq"}
+
+
 # -- serve-sim CLI ------------------------------------------------------------
 
 
