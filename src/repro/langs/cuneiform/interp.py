@@ -94,7 +94,15 @@ class CuneiformSource(TaskSource):
         self._invocation_counter: Counter = Counter()
         self._completed_counter: Counter = Counter()
         self._new_specs: list[TaskSpec] = []
-        self._globals_cache: dict[str, tuple[str, ...]] = {}
+        #: Settled values of expressions reduced under an empty env, by
+        #: node identity (see :meth:`_eval`).
+        self._settled: dict[int, tuple[str, ...]] = {}
+        #: Invocation lists of task applications whose arguments settled
+        #: under an empty env, by node identity.
+        self._apply_invocations: dict[int, list[_Invocation]] = {}
+        #: Validated in-port argument expressions of each task
+        #: application, by node identity.
+        self._task_arguments: dict[int, list[Expr]] = {}
         self._external_inputs: set[str] = set()
         self._target_values: Optional[list[tuple[str, ...]]] = None
         self._depth = 0
@@ -170,7 +178,32 @@ class CuneiformSource(TaskSource):
             self._target_values = values
 
     def _eval(self, expr: Expr, env: dict):
-        """Reduce ``expr`` to a value tuple or :data:`PENDING`."""
+        """Reduce ``expr`` to a value tuple or :data:`PENDING`.
+
+        Under an empty env (targets, global assignments, parameterless
+        function bodies) a node's value depends only on the node and on
+        invocations that never change once resolved, so it is memoised
+        the first time it is no longer pending; every later reduction
+        re-reduces only the still-pending parts. Re-reducing a settled
+        node would find every invocation it reaches already created, so
+        skipping it changes neither values nor task emission order.
+        """
+        if env:
+            return self._reduce(expr, env)
+        value = self._settled.get(id(expr))
+        if value is None:
+            value = self._reduce(expr, env)
+            if value is not PENDING:
+                self._settled[id(expr)] = value
+        return value
+
+    def _reduce(self, expr: Expr, env: dict):
+        # Applications and variables first: they are most of the nodes a
+        # re-reduction visits.
+        if isinstance(expr, Apply):
+            return self._eval_apply(expr, env)
+        if isinstance(expr, Var):
+            return self._eval_var(expr.name, env)
         if isinstance(expr, Str):
             return (expr.value,)
         if isinstance(expr, ListExpr):
@@ -184,8 +217,6 @@ class CuneiformSource(TaskSource):
             if isinstance(left, _Pending) or isinstance(right, _Pending):
                 return PENDING
             return left + right
-        if isinstance(expr, Var):
-            return self._eval_var(expr.name, env)
         if isinstance(expr, Let):
             value = self._eval(expr.value, env)
             # A pending binding does not block the body unless used;
@@ -199,20 +230,13 @@ class CuneiformSource(TaskSource):
                 return PENDING
             branch = expr.then_branch if condition else expr.else_branch
             return self._eval(branch, env)
-        if isinstance(expr, Apply):
-            return self._eval_apply(expr, env)
         raise CuneiformError(f"cannot evaluate {expr!r}")
 
     def _eval_var(self, name: str, env: dict):
         if name in env:
             return env[name]
-        if name in self._globals_cache:
-            return self._globals_cache[name]
         if name in self.script.assignments:
-            value = self._eval(self.script.assignments[name], {})
-            if not isinstance(value, _Pending):
-                self._globals_cache[name] = value
-            return value
+            return self._eval(self.script.assignments[name], {})
         raise CuneiformError(f"undefined variable {name!r}")
 
     def _eval_apply(self, expr: Apply, env: dict):
@@ -249,20 +273,44 @@ class CuneiformSource(TaskSource):
             self._depth -= 1
 
     def _eval_task(self, expr: Apply, env: dict):
-        task_def = self.script.tasks[expr.callee]
-        port_names = [port.name for port in task_def.inports]
-        provided = dict(expr.args)
-        missing = [p for p in port_names if p not in provided]
-        extra = [name for name, _ in expr.args if name not in port_names]
-        if missing or extra:
-            raise CuneiformError(
-                f"{expr.callee}: bad ports (missing {missing}, extra {extra})"
-            )
-        values = {}
-        for port in task_def.inports:
-            value = self._eval(provided[port.name], env)
-            if isinstance(value, _Pending):
+        invocations = None if env else self._apply_invocations.get(id(expr))
+        if invocations is None:
+            invocations = self._task_invocations(expr, env)
+            if invocations is None:
                 return PENDING
+            if not env:
+                self._apply_invocations[id(expr)] = invocations
+        first_port = self.script.tasks[expr.callee].outports[0].name
+        result: list[str] = []
+        blocked = False
+        for invocation in invocations:
+            if invocation.resolved:
+                result.extend(invocation.values[first_port])
+            else:
+                blocked = True
+        return PENDING if blocked else tuple(result)
+
+    def _task_invocations(self, expr: Apply, env: dict) -> Optional[list[_Invocation]]:
+        """The invocations ``expr`` applies, or None while an argument is
+        pending."""
+        task_def = self.script.tasks[expr.callee]
+        arguments = self._task_arguments.get(id(expr))
+        if arguments is None:
+            port_names = [port.name for port in task_def.inports]
+            provided = dict(expr.args)
+            missing = [p for p in port_names if p not in provided]
+            extra = [name for name, _ in expr.args if name not in port_names]
+            if missing or extra:
+                raise CuneiformError(
+                    f"{expr.callee}: bad ports (missing {missing}, extra {extra})"
+                )
+            arguments = [provided[name] for name in port_names]
+            self._task_arguments[id(expr)] = arguments
+        values = {}
+        for port, argument in zip(task_def.inports, arguments):
+            value = self._eval(argument, env)
+            if isinstance(value, _Pending):
+                return None
             values[port.name] = value
 
         # Cross product over scalar ports; aggregate ports pass whole.
@@ -270,19 +318,13 @@ class CuneiformSource(TaskSource):
         aggregate_ports = [p for p in task_def.inports if p.aggregate]
         axes = [[(p.name, (item,)) for item in values[p.name]] for p in scalar_ports]
         combinations = list(itertools.product(*axes)) if axes else [()]
-        result: list[str] = []
-        blocked = False
-        first_port = task_def.outports[0].name
+        invocations = []
         for combination in combinations:
             bindings = dict(combination)
             for port in aggregate_ports:
                 bindings[port.name] = values[port.name]
-            invocation = self._invocation_for(task_def, bindings)
-            if invocation.resolved:
-                result.extend(invocation.values[first_port])
-            else:
-                blocked = True
-        return PENDING if blocked else tuple(result)
+            invocations.append(self._invocation_for(task_def, bindings))
+        return invocations
 
     def _invocation_for(self, task_def: TaskDef, bindings: dict) -> _Invocation:
         key = (

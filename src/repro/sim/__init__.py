@@ -6,7 +6,6 @@ from repro.sim.engine import (
     Environment,
     Event,
     Process,
-    ScheduledCall,
     Timeout,
 )
 from repro.sim.flows import (
@@ -27,7 +26,6 @@ __all__ = [
     "Environment",
     "Event",
     "Process",
-    "ScheduledCall",
     "Timeout",
     "Flow",
     "FlowNetwork",

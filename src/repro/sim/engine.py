@@ -47,7 +47,6 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "ScheduledCall",
 ]
 
 #: Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
@@ -166,42 +165,6 @@ class _Deferred:
 
     def _process(self) -> None:
         self._fn(self._arg)
-
-
-class ScheduledCall:
-    """A cancellable timer: ``fn()`` runs at the scheduled time unless
-    :meth:`cancel` was called first.
-
-    This is the cancellation hook for subsystems that schedule plain
-    callbacks. Unlike a :class:`Timeout` plus version counter, a
-    cancelled call does no work when popped. A cancelled record stays in
-    the heap until its time arrives, but it is inert — callers that
-    re-aim a single rolling wake-up on every state change should use
-    :meth:`Environment.set_wake` instead, which replaces its target in
-    place and leaves no records behind.
-    """
-
-    __slots__ = ("_fn", "_cancelled")
-
-    _ok = True
-    _defused = False
-
-    def __init__(self, fn: Callable[[], None]):
-        self._fn = fn
-        self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Prevent the callback from running; idempotent."""
-        self._cancelled = True
-
-    def _process(self) -> None:
-        if not self._cancelled:
-            self._fn()
 
 
 class Timeout(Event):
@@ -417,35 +380,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a process and start it."""
         return Process(self, generator)
-
-    def call_later(self, delay: float, fn: Callable[[], None]) -> ScheduledCall:
-        """Schedule ``fn()`` to run ``delay`` seconds from now.
-
-        Returns a :class:`ScheduledCall` whose :meth:`ScheduledCall.cancel`
-        turns the queued record into a no-op. Cheaper than a
-        :class:`Timeout` with a callback when the caller may re-aim the
-        timer before it fires.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative call_later delay: {delay}")
-        call = ScheduledCall(fn)
-        heappush(self._queue, (self._now + delay, 1, next(self._eids), call))
-        return call
-
-    def call_at(self, time: float, fn: Callable[[], None]) -> ScheduledCall:
-        """Schedule ``fn()`` to run at absolute simulated ``time``.
-
-        Unlike :meth:`call_later`, the target is taken verbatim — no
-        ``now + delay`` rounding — so a caller that re-arms a rolling
-        timer can hit a previously computed instant bit-for-bit. A time
-        in the past runs on the next step without rewinding the clock.
-        """
-        call = ScheduledCall(fn)
-        heappush(
-            self._queue,
-            (time if time > self._now else self._now, 1, next(self._eids), call),
-        )
-        return call
 
     def set_wake(self, time: float, fn: Callable[[], None]) -> None:
         """Aim the environment's single *external wake* at ``time``.

@@ -54,6 +54,15 @@ clock at each of its refill instants (every mutation settles all finite
 flows before rates change), which is exact for piecewise-constant rates;
 ``built_at`` stamps the instant the component was last assembled.
 
+A *free* flow — one crossing no contended resource — belongs to no
+component. It always has a cap (an uncapped flow makes every resource it
+crosses contended), so v2 sets its rate straight from the cap level, with
+exactly the float operations its singleton fill would perform. Inside a
+fill, a resource whose active weight has dropped to ``_EPSILON`` leaves
+the candidate scan; weights only fall during a fill, so this skips work
+without changing a single operation. Both shortcuts keep v2's results
+bit-identical.
+
 The earliest upcoming completion is tracked by the environment's external
 wake slot: re-aimed in place after every rebalance, it consumes a fresh
 event id (ordering against same-instant kernel events exactly like a
@@ -280,12 +289,15 @@ class FlowNetwork:
         self._dirty = False
         #: Components whose flow membership (or contention) changed since
         #: the last structural rebuild; they are dissolved and re-flooded.
-        self._dirty_components: dict[_Component, None] = {}
+        #: A free flow caught by a contention flip is keyed by itself.
+        self._dirty_components: dict[_Component | Flow, None] = {}
         #: Resources whose flow set changed; contention is re-derived for
         #: exactly these at rebuild time.
         self._retag: dict[Resource, None] = {}
         #: Flows added since the last rebuild (not yet in any component).
         self._new_flows: dict[Flow, None] = {}
+        #: Every live component (free flows have none).
+        self._components: dict[_Component, None] = {}
         # Pre-bound callbacks: scheduled on every rebalance and wake, so
         # avoid allocating a fresh bound method each time. The completion
         # timer itself is the environment's external wake slot (re-aimed
@@ -492,7 +504,7 @@ class FlowNetwork:
         self._dirty = False
         self._solve()
 
-    def _rebuild_components(self) -> list[_Component]:
+    def _rebuild_components(self) -> list[_Component | Flow]:
         """Bring the contention structure up to date for the dirty region.
 
         Pure bookkeeping — no float arithmetic, no event scheduling.
@@ -503,15 +515,20 @@ class FlowNetwork:
         ``global-v1`` it stays fully lazy — never on the solve hot path.
         Classification is re-derived only for resources whose
         membership changed; a contention flip drags the affected
-        resource's flows (and their components) into the dirty region,
-        which is then dissolved and re-partitioned by flooding across
-        contended resources. Dirty-marking keeps the seed set closed
-        under this traversal: a contended resource crossed by a seed
-        flow always belongs to a dirty (dissolved) component, so no
-        clean component is reached.
+        resource's flows (their components, or the flows themselves
+        when free) into the dirty region, which is then dissolved and
+        re-partitioned by flooding across contended resources.
+        Dirty-marking keeps the seed set closed under this traversal: a
+        contended resource crossed by a seed flow always belongs to a
+        dirty (dissolved) component, so no clean component is reached.
 
-        Returns the freshly built components — exactly the ones whose
-        flow rates the partitioned solver must recompute.
+        A *free* flow — one crossing no contended resource — gets no
+        component: it is returned itself, at the position its singleton
+        component would have taken, so the caller's visiting order is
+        the same either way.
+
+        Returns the freshly built components and free flows — exactly
+        the ones whose flow rates the partitioned solver must recompute.
         """
         dirty_components = self._dirty_components
         retagged = self._retag
@@ -528,9 +545,17 @@ class FlowNetwork:
                         component = flow._component
                         if component is not None:
                             dirty_components[component] = None
+                        elif flow not in new_flows:
+                            # A free flow stands in for its singleton.
+                            dirty_components[flow] = None
         if dirty_components:
+            live = self._components
             seeds: dict[Flow, None] = {}
             for component in dirty_components:
+                if type(component) is Flow:
+                    seeds[component] = None
+                    continue
+                live.pop(component, None)
                 seeds.update(component.flows)
                 for resource in component.resources:
                     if resource._component is component:
@@ -543,11 +568,18 @@ class FlowNetwork:
             seeds = new_flows
         now = self.env.now
         stack: list[Flow] = []
-        fresh: list[_Component] = []
+        fresh: list[_Component | Flow] = []
         for seed in seeds:
             if seed._component is not None or seed not in self._flows:
                 continue
+            for resource in seed.resources:
+                if resource._contended:
+                    break
+            else:
+                fresh.append(seed)
+                continue
             component = _Component(now)
+            self._components[component] = None
             fresh.append(component)
             seed._component = component
             component.flows[seed] = None
@@ -703,9 +735,18 @@ class FlowNetwork:
         fresh = self._rebuild_components()
         if fresh or retagged:
             touched: dict[Resource, None] = dict.fromkeys(retagged)
-            for component in fresh:
-                self._fill_component(component)
-                for flow in component.flows:
+            for item in fresh:
+                if type(item) is Flow:
+                    # A free flow's singleton fill ends at its cap level:
+                    # ``level = 0.0 + cap_level``, then ``min(rate, cap)``.
+                    rate = item._cap_level * item.weight
+                    cap = item.cap
+                    item._rate = cap if cap < rate else rate
+                    for resource in item.resources:
+                        touched[resource] = None
+                    continue
+                self._fill_component(item)
+                for flow in item.flows:
                     for resource in flow.resources:
                         touched[resource] = None
             # An uncontended resource may carry flows from several
@@ -729,26 +770,33 @@ class FlowNetwork:
         the component's contended ones (every flow crossing a contended
         resource is in that resource's component, so the fill is closed)
         and uncontended resources are skipped outright — ``_classify``
-        already proved they can never bottleneck. A flow crossing only
-        uncontended resources freezes at its cap (it must have one:
-        an uncapped flow makes every crossed resource contended).
+        already proved they can never bottleneck.
+
+        A resource leaves the candidate scan once its active weight is
+        down to ``_EPSILON``: weights only fall during a fill, so it
+        could never be a candidate again, and deleting from a dict keeps
+        the order of the rest — the scan, and the tie order of its
+        ``bottlenecks``, are unchanged.
         """
         weight_sum: dict[Resource, float] = {}
         room: dict[Resource, float] = {}
         for resource in component.resources:
             weight_sum[resource] = 0.0
             room[resource] = resource.capacity
+        capped: list[Flow] = []
         for flow in component.flows:
             flow._rate = 0.0
             weight = flow.weight
             for resource in flow.resources:
                 if resource in weight_sum:
                     weight_sum[resource] += weight
+            if flow.cap is not None:
+                capped.append(flow)
+        for resource in room:
+            if weight_sum[resource] <= _EPSILON:
+                del weight_sum[resource]
         unfrozen = dict(component.flows)
-        capped = sorted(
-            (f for f in unfrozen if f.cap is not None),
-            key=lambda f: f._cap_level,
-        )
+        capped.sort(key=lambda f: f._cap_level)
         cap_index = 0
         level = 0.0
         while unfrozen:
@@ -757,11 +805,9 @@ class FlowNetwork:
             delta = math.inf
             bottlenecks: list[Resource] = []
             for resource, active_weight in weight_sum.items():
-                if active_weight <= _EPSILON:
-                    continue
-                candidate = max(
-                    (room[resource] - level * active_weight) / active_weight, 0.0
-                )
+                candidate = (room[resource] - level * active_weight) / active_weight
+                if candidate < 0.0:
+                    candidate = 0.0
                 if candidate < delta - _EPSILON:
                     delta = candidate
                     bottlenecks = [resource]
@@ -795,15 +841,21 @@ class FlowNetwork:
             for flow in newly_frozen:
                 if flow not in unfrozen:
                     continue
-                rate = level * flow.weight
+                weight = flow.weight
+                rate = level * weight
                 if flow.cap is not None:
                     rate = min(rate, flow.cap)
                 flow._rate = rate
                 unfrozen.pop(flow, None)
                 for resource in flow.resources:
-                    if resource in room:
+                    active_weight = weight_sum.get(resource)
+                    if active_weight is not None:
                         room[resource] -= rate
-                        weight_sum[resource] -= flow.weight
+                        active_weight -= weight
+                        if active_weight <= _EPSILON:
+                            del weight_sum[resource]
+                        else:
+                            weight_sum[resource] = active_weight
 
     def _aim_wake(self) -> None:
         """Aim the environment's wake slot at the earliest completion.
@@ -856,20 +908,31 @@ class FlowNetwork:
     def components(self) -> tuple[_Component, ...]:
         """Snapshot of the contention components (forces pending work).
 
-        Flows crossing only uncontended resources form singleton
-        components; this is mainly an introspection/diagnostics hook —
-        the structural rebuild it forces is lazy and never runs on the
-        solve hot path.
+        A free flow (one crossing only uncontended resources) carries no
+        component; it is reported here as a throwaway singleton, in the
+        order of its flow. This is an introspection/diagnostics hook —
+        under ``global-v1`` the structural rebuild it forces is lazy and
+        never runs on the solve hot path.
         """
         self.flush()
         self._rebuild_components()
+        now = self.env.now
         seen: dict[int, _Component] = {}
         for flow in self._flows:
             component = flow._component
-            if component is not None:
-                seen[id(component)] = component
+            if component is None:
+                component = _Component(now)
+                component.flows[flow] = None
+            seen[id(component)] = component
         return tuple(seen.values())
 
     def component_count(self) -> int:
-        """Number of contention components (forces pending work)."""
-        return len(self.components())
+        """Number of contention components, each free flow counting as a
+        singleton (forces pending work; allocates nothing per call)."""
+        self.flush()
+        self._rebuild_components()
+        count = len(self._components)
+        for flow in self._flows:
+            if flow._component is None:
+                count += 1
+        return count

@@ -258,72 +258,6 @@ def test_peek_reports_next_event_time():
     assert env2.peek() == float("inf")
 
 
-def test_call_later_fires_plain_callback():
-    env = Environment()
-    fired = []
-    env.call_later(3.0, lambda: fired.append(env.now))
-    env.run()
-    assert fired == [3.0]
-
-
-def test_call_later_cancel_suppresses_callback():
-    env = Environment()
-    fired = []
-    call = env.call_later(2.0, lambda: fired.append(env.now))
-    assert not call.cancelled
-    call.cancel()
-    assert call.cancelled
-    env.run()
-    assert fired == []
-    assert env.now == 2.0  # the queue entry still drains the clock
-
-
-def test_call_later_rejects_negative_delay():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.call_later(-0.5, lambda: None)
-
-
-def test_call_later_orders_with_timeouts():
-    env = Environment()
-    log = []
-
-    def proc(env):
-        yield env.timeout(1.0)
-        log.append("timeout")
-
-    env.process(proc(env))
-    env.call_later(1.0, lambda: log.append("call"))
-    env.run()
-    # The ScheduledCall invokes its callback directly when the queue
-    # entry drains, while the timeout's process resumption is deferred —
-    # so the callback observes the timestep before any process does.
-    assert log == ["call", "timeout"]
-
-
-def test_call_at_hits_the_exact_absolute_instant():
-    env = Environment()
-    env.timeout(0.1)
-    env.run()  # park the clock at a value where now+delta would round
-    target = 0.1 + 1 / 3
-    fired = []
-    env.call_at(target, lambda: fired.append(env.now))
-    env.run()
-    # The target is taken verbatim — no now+delay round trip.
-    assert fired == [target]
-
-
-def test_call_at_in_the_past_runs_without_rewinding_the_clock():
-    env = Environment()
-    env.timeout(5.0)
-    env.run()
-    fired = []
-    env.call_at(1.0, lambda: fired.append(env.now))
-    env.run()
-    assert fired == [5.0]
-    assert env.now == 5.0
-
-
 def test_set_wake_fires_at_its_target_time():
     env = Environment()
     fired = []
