@@ -381,7 +381,18 @@ class Environment:
         """Register ``generator`` as a process and start it."""
         return Process(self, generator)
 
-    def set_wake(self, time: float, fn: Callable[[], None]) -> None:
+    def reserve_eid(self) -> int:
+        """Draw the next event id now, to arm the wake with it later.
+
+        Event ids only order same-instant, same-priority entries, so an
+        id drawn at one moment and used later orders exactly as an entry
+        created at the moment of the draw (see :meth:`set_wake`).
+        """
+        return next(self._eids)
+
+    def set_wake(
+        self, time: float, fn: Callable[[], None], eid: Optional[int] = None
+    ) -> None:
         """Aim the environment's single *external wake* at ``time``.
 
         The wake is a movable timer that lives outside the event heap:
@@ -392,12 +403,14 @@ class Environment:
         consumes a fresh event id, so against same-instant heap entries
         the wake orders exactly as a :class:`Timeout` scheduled at the
         moment of the call would — earlier events fire first, later
-        ones after. There is one slot per environment; the latest call
-        wins. A ``time`` at or before the current instant fires on the
-        next step without rewinding the clock.
+        ones after. Passing an ``eid`` from :meth:`reserve_eid` instead
+        orders the wake as if it had been armed when that id was drawn.
+        There is one slot per environment; the latest call wins. A
+        ``time`` at or before the current instant fires on the next
+        step without rewinding the clock.
         """
         self._wake_time = time
-        self._wake_eid = next(self._eids)
+        self._wake_eid = next(self._eids) if eid is None else eid
         self._wake_fn = fn
 
     def clear_wake(self) -> None:

@@ -67,15 +67,20 @@ The earliest upcoming completion is tracked by the environment's external
 wake slot: re-aimed in place after every rebalance, it consumes a fresh
 event id (ordering against same-instant kernel events exactly like a
 freshly armed timeout) while leaving *zero* records in the kernel queue —
-heavy churn no longer piles up stale timers. The model is deterministic
-and exact for piecewise-constant rate sets under either solver.
+heavy churn no longer piles up stale timers. A completion wake does not
+solve: the flows its completions cause to start at the same instant are
+solved together with the rest in the end-of-timestep flush, which
+builds the same components and rates and arms the wake with the event
+id the wake reserved, so each instant is solved once (see
+:meth:`FlowNetwork._on_wake`). The model is deterministic and exact for
+piecewise-constant rate sets under either solver.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment
@@ -110,6 +115,14 @@ DEFAULT_SOLVER = SOLVER_V2
 #: completion shift can flip a scheduler tie-break, so table-level drift
 #: is measured (not assumed) by ``scripts/diff_tables.py``.
 PARITY_EPSILON = 1e-9
+
+
+def _flow_id(flow: "Flow") -> int:
+    return flow.id
+
+
+def _cap_level(flow: "Flow") -> float:
+    return flow._cap_level
 
 
 class Resource:
@@ -244,9 +257,15 @@ class _Component:
     (the isolation a regression test asserts directly), which under v2
     also makes it the component's effective settle clock: rates within
     the component have been constant since then.
+
+    The flood that builds a component also hands its fill the starting
+    state: ``weights`` (each contended resource's summed flow weight) and
+    ``ladder`` (the capped flows in cap-level order). See
+    :meth:`FlowNetwork._rebuild_components` for why these are exactly
+    what the fill would compute itself.
     """
 
-    __slots__ = ("flows", "resources", "built_at")
+    __slots__ = ("flows", "resources", "built_at", "weights", "ladder")
 
     def __init__(self, now: float):
         # Insertion-ordered (dict-as-set), sorted by flow id at build time
@@ -255,6 +274,11 @@ class _Component:
         #: The contended resources linking these flows.
         self.resources: dict[Resource, None] = {}
         self.built_at = now
+        #: Summed weight per contended resource, in ``resources`` order,
+        #: leaving out sums at or below ``_EPSILON``.
+        self.weights: dict[Resource, float] = {}
+        #: The capped flows, sorted by ``(_cap_level, id)``.
+        self.ladder: Sequence[Flow] = ()
 
 
 class FlowNetwork:
@@ -304,6 +328,15 @@ class FlowNetwork:
         # in place on every rebalance — zero queue entries).
         self._flush_cb = self.flush
         self._wake_cb = self._on_wake
+        #: Event id reserved by a completion wake, armed by the next aim
+        #: unless a mutation intervenes (see :meth:`_on_wake`).
+        self._wake_ticket: Optional[int] = None
+        #: Set by a ``partitioned-v2`` completion wake until its deferred
+        #: solve: the first mutation before then floods the wake's dirty
+        #: region first, holding the result for the flush.
+        self._rebuild_owed = False
+        self._held: list[_Component | Flow] = []
+        self._held_retag: dict[Resource, None] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -375,6 +408,8 @@ class FlowNetwork:
                 break
         if not resolved:
             raise SimulationError("a flow needs at least one resource")
+        if len(resolved) > 1 and len(set(resolved)) < len(resolved):
+            raise SimulationError("a flow crosses each resource at most once")
         if cap is not None and cap <= 0:
             raise SimulationError("flow cap must be positive")
         if size is not None and size < 0:
@@ -390,6 +425,8 @@ class FlowNetwork:
             flow.remaining = 0.0
             done.succeed(flow)
             return flow
+        if self._rebuild_owed:
+            self._hold_wake_rebuild()
         self._flows[flow] = None
         if size is not None:
             self._finite[flow] = None
@@ -429,6 +466,8 @@ class FlowNetwork:
         # Settle first so peers (and the flow itself, if it tied with a
         # completion) account progress at the pre-removal rates.
         self._settle()
+        if self._rebuild_owed:
+            self._hold_wake_rebuild()
         self._drop(flow)
         if fire and flow.done is not None and not flow.done.triggered:
             flow.done.succeed(flow)
@@ -453,8 +492,11 @@ class FlowNetwork:
             for flow in self._finite:
                 rate = flow._rate
                 if rate > 0:
-                    flow.remaining = max(0.0, flow.remaining - rate * elapsed)
-                    if flow.remaining <= _EPSILON:
+                    remaining = flow.remaining - rate * elapsed
+                    if not remaining > 0.0:  # max(0.0, x), -0.0 and NaN too
+                        remaining = 0.0
+                    flow.remaining = remaining
+                    if remaining <= _EPSILON:
                         if finished is None:
                             finished = []
                         finished.append(flow)
@@ -484,7 +526,12 @@ class FlowNetwork:
         passes within a timestep, recomputing rates once afterwards is
         exact and much cheaper. Reading any rate before then forces the
         recomputation via :meth:`flush`.
+
+        Any mutation voids a completion wake's reserved event id: the
+        wake is then re-aimed with a fresh id, as it always was after a
+        mutation.
         """
+        self._wake_ticket = None
         if self._dirty:
             return
         self._dirty = True
@@ -526,6 +573,16 @@ class FlowNetwork:
         component: it is returned itself, at the position its singleton
         component would have taken, so the caller's visiting order is
         the same either way.
+
+        The flood also pre-sums the fill. ``resource.flows`` iterates in
+        increasing flow id (ids come from one global counter and a flow
+        joins its resources once, right after creation), and every flow
+        crossing a contended resource lands in that resource's
+        component. So the flood's first visit of a contended resource
+        adds ``0.0 + w1 + w2 + ...`` in exactly the order the fill's
+        per-flow pass over the id-sorted members would, and the stable
+        cap-level sort of the id-sorted capped flows is the fill's own
+        ladder. The fill starts from these instead of recomputing them.
 
         Returns the freshly built components and free flows — exactly
         the ones whose flow rates the partitioned solver must recompute.
@@ -583,6 +640,7 @@ class FlowNetwork:
             fresh.append(component)
             seed._component = component
             component.flows[seed] = None
+            weights = component.weights
             stack.append(seed)
             while stack:
                 flow = stack.pop()
@@ -590,14 +648,24 @@ class FlowNetwork:
                     if resource._contended and resource._component is not component:
                         resource._component = component
                         component.resources[resource] = None
+                        total = 0.0
                         for other in resource.flows:
+                            total += other.weight
                             if other._component is not component:
                                 other._component = component
                                 component.flows[other] = None
                                 stack.append(other)
+                        if total > _EPSILON:
+                            weights[resource] = total
             if len(component.flows) > 1:
-                ordered = sorted(component.flows, key=lambda f: f.id)
+                ordered = sorted(component.flows, key=_flow_id)
                 component.flows = dict.fromkeys(ordered)
+                ladder = [f for f in ordered if f.cap is not None]
+                if len(ladder) > 1:
+                    ladder.sort(key=_cap_level)
+                component.ladder = ladder
+            elif seed.cap is not None:
+                component.ladder = (seed,)
         dirty_components.clear()
         self._new_flows = {}
         return fresh
@@ -730,9 +798,30 @@ class FlowNetwork:
         whole point of partitioning. Per-component fills round
         differently at the ULP than v1's global fill (no shared
         accumulator), which the declared-epsilon contract absorbs.
+
+        After a completion wake this also fills the components the wake's
+        region was flooded into, when a mutation made it flood early.
         """
+        self._rebuild_owed = False
         retagged = tuple(self._retag)
         fresh = self._rebuild_components()
+        if self._held_retag or self._held:
+            # A completion wake's flood ran before this instant's later
+            # mutations (see _hold_wake_rebuild). Its components that
+            # are still live were not touched since, so they are filled
+            # here exactly as they were built; dissolved ones were
+            # re-flooded into ``fresh``. (A free flow can be in both;
+            # setting its rate twice is harmless.)
+            live = self._components
+            flows = self._flows
+            fresh = [
+                item for item in self._held
+                if (item in live if type(item) is _Component
+                    else item._component is None and item in flows)
+            ] + fresh
+            retagged = (*self._held_retag, *retagged)
+            self._held = []
+            self._held_retag = {}
         if fresh or retagged:
             touched: dict[Resource, None] = dict.fromkeys(retagged)
             for item in fresh:
@@ -770,7 +859,10 @@ class FlowNetwork:
         the component's contended ones (every flow crossing a contended
         resource is in that resource's component, so the fill is closed)
         and uncontended resources are skipped outright — ``_classify``
-        already proved they can never bottleneck.
+        already proved they can never bottleneck. It starts from the
+        weight sums and cap ladder its flood computed, keeping each
+        candidate's room and active weight in one ``[room, weight]``
+        entry.
 
         A resource leaves the candidate scan once its active weight is
         down to ``_EPSILON``: weights only fall during a fill, so it
@@ -778,40 +870,30 @@ class FlowNetwork:
         the order of the rest — the scan, and the tie order of its
         ``bottlenecks``, are unchanged.
         """
-        weight_sum: dict[Resource, float] = {}
-        room: dict[Resource, float] = {}
-        for resource in component.resources:
-            weight_sum[resource] = 0.0
-            room[resource] = resource.capacity
-        capped: list[Flow] = []
-        for flow in component.flows:
-            flow._rate = 0.0
-            weight = flow.weight
-            for resource in flow.resources:
-                if resource in weight_sum:
-                    weight_sum[resource] += weight
-            if flow.cap is not None:
-                capped.append(flow)
-        for resource in room:
-            if weight_sum[resource] <= _EPSILON:
-                del weight_sum[resource]
+        active: dict[Resource, list[float]] = {}
+        for resource, weight in component.weights.items():
+            active[resource] = [resource.capacity, weight]
+        capped = component.ladder
         unfrozen = dict(component.flows)
-        capped.sort(key=lambda f: f._cap_level)
+        eps = _EPSILON
         cap_index = 0
         level = 0.0
         while unfrozen:
             while cap_index < len(capped) and capped[cap_index] not in unfrozen:
                 cap_index += 1
-            delta = math.inf
+            delta = below = above = math.inf
             bottlenecks: list[Resource] = []
-            for resource, active_weight in weight_sum.items():
-                candidate = (room[resource] - level * active_weight) / active_weight
+            for resource, entry in active.items():
+                active_weight = entry[1]
+                candidate = (entry[0] - level * active_weight) / active_weight
                 if candidate < 0.0:
                     candidate = 0.0
-                if candidate < delta - _EPSILON:
+                if candidate < below:
                     delta = candidate
+                    below = candidate - eps
+                    above = candidate + eps
                     bottlenecks = [resource]
-                elif candidate <= delta + _EPSILON:
+                elif candidate <= above:
                     bottlenecks.append(resource)
             cap_bound = math.inf
             if cap_index < len(capped):
@@ -824,9 +906,7 @@ class FlowNetwork:
                     raise SimulationError("unconstrained flows in rebalance")
                 level += delta
                 for resource in bottlenecks:
-                    newly_frozen.extend(
-                        f for f in resource.flows if f in unfrozen
-                    )
+                    newly_frozen += [f for f in resource.flows if f in unfrozen]
             while (
                 cap_index < len(capped)
                 and capped[cap_index]._cap_level <= level + _EPSILON
@@ -843,19 +923,20 @@ class FlowNetwork:
                     continue
                 weight = flow.weight
                 rate = level * weight
-                if flow.cap is not None:
-                    rate = min(rate, flow.cap)
+                cap = flow.cap
+                if cap is not None and cap < rate:
+                    rate = cap
                 flow._rate = rate
-                unfrozen.pop(flow, None)
+                del unfrozen[flow]
                 for resource in flow.resources:
-                    active_weight = weight_sum.get(resource)
-                    if active_weight is not None:
-                        room[resource] -= rate
-                        active_weight -= weight
+                    entry = active.get(resource)
+                    if entry is not None:
+                        entry[0] -= rate
+                        active_weight = entry[1] - weight
                         if active_weight <= _EPSILON:
-                            del weight_sum[resource]
+                            del active[resource]
                         else:
-                            weight_sum[resource] = active_weight
+                            entry[1] = active_weight
 
     def _aim_wake(self) -> None:
         """Aim the environment's wake slot at the earliest completion.
@@ -863,11 +944,15 @@ class FlowNetwork:
         Each aim consumes a fresh event id, so the wake orders against
         same-instant kernel events exactly like a freshly armed timeout —
         but as an in-place slot update, not a queue entry, so heavy churn
-        leaves nothing behind in the kernel heap. The delay is clamped a
+        leaves nothing behind in the kernel heap. The one exception is a
+        completion wake's reserved id (see :meth:`_on_wake`), which this
+        aim consumes in place of a fresh one. The delay is clamped a
         min-tick above ``now``: a sub-resolution delay would not advance
         the clock, the settle step would see zero elapsed time, and the
         wake would re-fire at the same instant forever.
         """
+        ticket = self._wake_ticket
+        self._wake_ticket = None
         next_in = math.inf
         for flow in self._finite:
             if flow._rate > _EPSILON:
@@ -879,20 +964,54 @@ class FlowNetwork:
             return
         min_tick = max(1.0, abs(self.env.now)) * 1e-12
         next_in = max(next_in, min_tick)
-        self.env.set_wake(self.env.now + max(next_in, 0.0), self._wake_cb)
+        self.env.set_wake(self.env.now + max(next_in, 0.0), self._wake_cb, ticket)
 
     def _on_wake(self) -> None:
-        """The completion timer: settle everyone (firing the flows that
-        drained), then rebalance unconditionally — even a min-tick wake
-        that completed nothing recomputes from the just-settled
-        remainders."""
+        """The completion timer: settle everyone and fire the flows that
+        drained, then defer the re-solve to the end-of-timestep flush.
+
+        The processes those completions resume typically start new flows
+        at this same instant; solving once after them gives the same
+        rates as solving now and again then, because no time passes
+        within an instant and a fill depends only on its component.
+        Under ``partitioned-v2`` the components themselves depend on
+        when they were flooded, which :meth:`_hold_wake_rebuild` keeps
+        as it was. Even a min-tick wake that completed nothing re-solves
+        at the flush.
+
+        The wake event id is reserved now, where an immediate solve
+        would have drawn it when re-aiming. If nothing mutates the
+        network before the flush (and it was not already dirty, which
+        would have re-aimed with a fresh id anyway), the flush arms the
+        wake with that reserved id, so it orders against same-instant
+        kernel events exactly as an immediately re-aimed wake would.
+        """
         self._settle()
         done = [f for f in self._finite if f.remaining <= _EPSILON]
         for flow in done:
             self._drop(flow)
             if flow.done is not None and not flow.done.triggered:
                 flow.done.succeed(flow)
-        self._solve()
+        ticket = None if self._dirty else self.env.reserve_eid()
+        self._mark_dirty()
+        self._wake_ticket = ticket
+        self._rebuild_owed = self.solver == SOLVER_V2
+
+    def _hold_wake_rebuild(self) -> None:
+        """Flood a completion wake's dirty region before the flow set
+        changes again, and hold the result for the deferred solve.
+
+        The flood's seed order, and so each component's resource order
+        and with it the fill's float sequence, depends on which
+        components are dirty at the time. Flooding the wake's region now
+        and the later mutations' region at the flush reproduces exactly
+        the components an immediate wake solve and the flush would have
+        built; only the fills of the wake's components wait, and those
+        the flush dissolves again are never filled.
+        """
+        self._rebuild_owed = False
+        self._held_retag.update(self._retag)
+        self._held.extend(self._rebuild_components())
 
     # -- introspection -----------------------------------------------------
 

@@ -31,7 +31,9 @@ class ResourceUsage:
     capacity: float
     #: Integral of the usage rate over time (e.g. core-seconds, bytes).
     integral: float = 0.0
-    #: Peak instantaneous usage rate observed.
+    #: Peak usage rate observed at the end of a solved instant. A state
+    #: that lasts zero seconds inside an instant (between a completion
+    #: and the flows it triggers) is never solved, so never counted.
     peak: float = 0.0
     #: Step series of (time, rate) points, recorded when enabled.
     series: list[tuple[float, float]] = field(default_factory=list)
@@ -60,6 +62,12 @@ class MetricRecorder:
     settle clock (``last_rate``/``last_time``): rates are piecewise
     constant between a resource's own refreshes, so integrating each
     resource lazily over its own segments is still exact.
+
+    The network solves once per instant, after every flow start and
+    completion at that instant, so the recorder sees each instant's
+    final rates only. Integrals lose nothing by this (no time passes
+    within an instant); ``peak`` and the step series simply never see a
+    zero-length intermediate state.
     """
 
     def __init__(self, network: FlowNetwork, keep_series: bool = False):

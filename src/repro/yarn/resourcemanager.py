@@ -391,6 +391,16 @@ class ResourceManager:
                 return manager
         return None
 
+    def _cluster_full(self) -> bool:
+        """Whether no live node could host a one-vcore container."""
+        for manager in self.node_managers.values():
+            if manager.available_vcores >= 1 and manager.node.alive and (
+                manager.max_containers is None
+                or manager.active_container_count < manager.max_containers
+            ):
+                return False
+        return True
+
     def _cluster_share(self) -> ClusterShare:
         """Live totals the DRF dominant share is measured against."""
         vcores = 0
@@ -412,7 +422,16 @@ class ResourceManager:
         re-sorting the whole backlog on every capacity-freed callback.
         Under ``fifo`` the heap degenerates to exact arrival order, so
         the pass is byte-identical to serving one global deque.
+
+        A pass is skipped, or cut short after a grant, once no live node
+        has room for even a one-vcore container: every request needs at
+        least one vcore, so the rest of the pass could only advance
+        cursors that :meth:`TenantQueue.end_scan` puts back. (Cancelled
+        requests it would have drained at the head wait for a later
+        pass.)
         """
+        if self._cluster_full():
+            return
         pool = self._pool
         queues = pool.active_queues()
         if not queues:
@@ -457,6 +476,8 @@ class ResourceManager:
                 else:
                     queue.take()
                     self._grant(request, event, manager, queue)
+                    if self._cluster_full():
+                        break
             entry = queue.current()
             if entry is not None:
                 heappush(heap, (rank(entry[0], queue, share), queue.tenant, queue))

@@ -8,6 +8,9 @@ reference network below solves every free flow as a singleton component
 and fills every component with a verbatim copy of the fill as it was
 before those fast paths, so rates, remainders, usages and even the order
 of the resources handed to the metrics recorder must match with ``==``.
+The fill now starts from weight sums and a cap ladder the component
+flood computed; each live component's must equal what the fill's own
+initial pass used to compute.
 """
 
 import math
@@ -90,6 +93,36 @@ def _reference_fill(component: _Component) -> None:
                 if resource in room:
                     room[resource] -= rate
                     weight_sum[resource] -= flow.weight
+
+
+def _reference_init(component: _Component):
+    """The fill's starting weight sums and cap ladder, computed the way
+    the fill computed them before the flood took this over."""
+    weight_sum = {resource: 0.0 for resource in component.resources}
+    capped = []
+    for flow in component.flows:
+        for resource in flow.resources:
+            if resource in weight_sum:
+                weight_sum[resource] += flow.weight
+        if flow.cap is not None:
+            capped.append(flow)
+    for resource in list(weight_sum):
+        if weight_sum[resource] <= _EPSILON:
+            del weight_sum[resource]
+    capped.sort(key=lambda f: f._cap_level)
+    return weight_sum, capped
+
+
+def _assert_flood_presums(net):
+    """Every live component carries exactly the fill's own starting
+    state, and every resource lists its flows in increasing id."""
+    for resource in net.resources.values():
+        ids = [flow.id for flow in resource.flows]
+        assert ids == sorted(ids) and len(set(ids)) == len(ids)
+    for component in net._components:
+        weight_sum, capped = _reference_init(component)
+        assert list(component.weights.items()) == list(weight_sum.items())
+        assert list(component.ladder) == capped
 
 
 class _ReferenceNetwork(FlowNetwork):
@@ -230,6 +263,7 @@ def test_fast_paths_match_the_reference_fill_bit_for_bit(resource_caps, script):
         slow.flush()
         assert fast_env.now == slow_env.now
         _assert_identical(fast, slow, fast_flows, slow_flows)
+        _assert_flood_presums(fast)
         assert fast_log.calls == slow_log.calls
         expected = _expected_component_count(fast)
         assert fast.component_count() == expected
@@ -306,3 +340,11 @@ def test_flow_turned_free_keeps_its_place_among_fresh_components():
     assert turned_free._component is None and turned_free._rate == 1.0
     assert log.calls[-1][1] == ("a", "b", "x", "y")
     assert net.component_count() == 2
+
+
+def test_a_flow_crosses_each_resource_once():
+    """The flood's weight sums count each flow once per resource."""
+    net, _ = _logged_net(a=10.0, b=10.0)
+    with pytest.raises(SimulationError):
+        net.start_flow(1.0, ["a", "b", "a"])
+    assert not net.active_flows

@@ -306,6 +306,18 @@ def test_wake_orders_with_same_instant_timeouts_by_arm_order():
     assert log == ["timeout", "wake"]
 
 
+def test_wake_armed_with_a_reserved_id_orders_as_of_the_reservation():
+    env = Environment()
+    log = []
+    ticket = env.reserve_eid()
+    # The timeout is created after the reservation, so the wake armed
+    # later with the reserved id still fires first at the shared instant.
+    env.timeout(5.0).callbacks.append(lambda _: log.append("timeout"))
+    env.set_wake(5.0, lambda: log.append("wake"), eid=ticket)
+    env.run()
+    assert log == ["wake", "timeout"]
+
+
 def test_wake_rearmed_from_its_own_callback_keeps_firing():
     env = Environment()
     ticks = []
