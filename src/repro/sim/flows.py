@@ -29,8 +29,8 @@ byte for byte; for that reason its fill loop must never be partitioned,
 reordered or algebraically "simplified".
 
 ``partitioned-v2`` — the default. Contention components (see below) are
-rebuilt eagerly at each rebalance and only the components whose
-membership or contention changed are re-solved, each by an independent
+brought up to date eagerly at each rebalance and only the components
+whose membership or contention changed are re-solved, each by an independent
 progressive fill over just its own flows and contended resources.
 Untouched components keep their rates: their constraint set did not
 change, so re-solving them is pure waste — this is where the order-of-
@@ -46,13 +46,20 @@ reports drift at the table level; see DESIGN.md and EXPERIMENTS.md).
 Contention *structure* is tracked incrementally under both solvers:
 resources whose flows could collectively exceed capacity are *contended*,
 and contended resources partition into connected components (a flow links
-every contended resource it crosses). Components are maintained for the
-dirty region only. Under v1 they feed diagnostics, tests and scheduling
-heuristics; under v2 they are load-bearing — the unit of the partitioned
-solve. A component's effective settle clock coincides with the global
-clock at each of its refill instants (every mutation settles all finite
-flows before rates change), which is exact for piecewise-constant rates;
-``built_at`` stamps the instant the component was last assembled.
+every contended resource it crosses). Components persist: a started flow
+joins (or merges) the components it touches, a removed flow leaves its
+own, and only a real split or a contention flip re-floods a region. Each
+resource keeps the summed weight of its flows, and each component keeps
+its flows in id order, its resources in creation order and its capped
+flows in cap-level order — a function of the current flows and
+contention alone, not of the order of past mutations. Under v1 they feed
+diagnostics, tests and scheduling heuristics; under v2 they are
+load-bearing — the unit of the partitioned solve, and its fill scans a
+component's resources in that canonical order. A component's effective
+settle clock coincides with the global clock at each of its refill
+instants (every mutation settles all finite flows before rates change),
+which is exact for piecewise-constant rates; ``built_at`` stamps the
+instant the component last changed.
 
 A *free* flow — one crossing no contended resource — belongs to no
 component. It always has a cap (an uncapped flow makes every resource it
@@ -70,8 +77,9 @@ freshly armed timeout) while leaving *zero* records in the kernel queue —
 heavy churn no longer piles up stale timers. A completion wake does not
 solve: the flows its completions cause to start at the same instant are
 solved together with the rest in the end-of-timestep flush, which
-builds the same components and rates and arms the wake with the event
-id the wake reserved, so each instant is solved once (see
+reaches the same components and rates (they depend on the current flows
+only) and arms the wake with the event id the wake reserved, so each
+instant is solved once (see
 :meth:`FlowNetwork._on_wake`). The model is deterministic and exact for
 piecewise-constant rate sets under either solver.
 """
@@ -80,7 +88,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+from bisect import insort
+from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment
@@ -125,6 +134,51 @@ def _cap_level(flow: "Flow") -> float:
     return flow._cap_level
 
 
+def _resource_order(resource: "Resource") -> int:
+    return resource._order
+
+
+def _size(component: "_Component") -> int:
+    return len(component.flows)
+
+
+def _assign(
+    component: "_Component", flows: list["Flow"], resources: list["Resource"]
+) -> None:
+    """Give ``component`` these members in canonical order: flows by id,
+    resources by creation, the cap ladder by ``(_cap_level, id)``."""
+    flows.sort(key=_flow_id)
+    resources.sort(key=_resource_order)
+    component.flows = dict.fromkeys(flows)
+    component.resources = dict.fromkeys(resources)
+    ladder = [flow for flow in flows if flow.cap is not None]
+    ladder.sort(key=_cap_level)  # stable: ties stay in id order
+    component.ladder = ladder
+    component.stale = 0
+
+
+def _connected(component: "_Component", cut: set["Resource"]) -> bool:
+    """Whether the resources in ``cut`` still in ``component`` are all
+    linked to each other through its remaining flows."""
+    left = {resource for resource in cut if resource._component is component}
+    if len(left) < 2:
+        return True
+    start = left.pop()
+    seen = {start}
+    stack = [start]
+    while stack:
+        for flow in stack.pop().flows:
+            for resource in flow.resources:
+                if resource._contended and resource not in seen:
+                    if resource in left:
+                        left.remove(resource)
+                        if not left:
+                            return True
+                    seen.add(resource)
+                    stack.append(resource)
+    return False
+
+
 class Resource:
     """A capacitated resource flows drain through (a link, disk, or CPU)."""
 
@@ -137,11 +191,17 @@ class Resource:
         "_network",
         "_contended",
         "_component",
+        "_order",
+        "_weight",
     )
+
+    _orders = itertools.count()
 
     def __init__(self, name: str, capacity: float, kind: str = "generic"):
         if capacity <= 0:
             raise SimulationError(f"resource {name!r} needs positive capacity")
+        #: Creation order: the canonical order of a component's resources.
+        self._order = next(Resource._orders)
         self.name = name
         self.capacity = float(capacity)
         self.kind = kind
@@ -155,6 +215,9 @@ class Resource:
         self._contended = False
         #: The contention component this resource belongs to, when contended.
         self._component: Optional["_Component"] = None
+        #: Summed weight of ``flows``, added in flow id order (re-summed
+        #: after a removal; see :meth:`FlowNetwork._rebuild_components`).
+        self._weight = 0.0
 
     @property
     def usage(self) -> float:
@@ -247,38 +310,41 @@ class Flow:
 class _Component:
     """A connected component of contended resources and their flows.
 
-    Components answer "which flows transitively share a bottleneck?" and
-    are rebuilt for just the dirty region when membership or contention
-    changes. Under ``global-v1`` they are diagnostics only; under
-    ``partitioned-v2`` they are the unit of the solve — each fresh
+    Components answer "which flows transitively share a bottleneck?".
+    Under ``global-v1`` they are diagnostics only; under
+    ``partitioned-v2`` they are the unit of the solve — each changed
     component is re-filled independently while untouched components keep
-    their rates. ``built_at`` stamps the instant this component was
-    assembled; unrelated churn elsewhere in the network never rebuilds it
-    (the isolation a regression test asserts directly), which under v2
-    also makes it the component's effective settle clock: rates within
-    the component have been constant since then.
+    their rates. They persist across solves and are kept up to date
+    incrementally (see :meth:`FlowNetwork._rebuild_components`): a
+    started flow joins or merges them, a removed one leaves, and only a
+    real split or a contention flip re-floods. ``built_at`` stamps the
+    instant the component last changed; unrelated churn elsewhere
+    in the network never touches it (the isolation a regression test
+    asserts directly), which under v2 also makes it the component's
+    effective settle clock: rates within the component have been
+    constant since then.
 
-    The flood that builds a component also hands its fill the starting
-    state: ``weights`` (each contended resource's summed flow weight) and
-    ``ladder`` (the capped flows in cap-level order). See
-    :meth:`FlowNetwork._rebuild_components` for why these are exactly
-    what the fill would compute itself.
+    Everything a fill reads is a function of the current flow set and
+    contention alone, never of the order of past mutations: ``flows`` is
+    in flow id order, ``resources`` in resource creation order, and the
+    live entries of ``ladder`` in ``(_cap_level, id)`` order.
     """
 
-    __slots__ = ("flows", "resources", "built_at", "weights", "ladder")
+    __slots__ = ("flows", "resources", "built_at", "ladder", "stale", "cut")
 
     def __init__(self, now: float):
-        # Insertion-ordered (dict-as-set), sorted by flow id at build time
-        # so introspection order is independent of traversal order.
         self.flows: dict[Flow, None] = {}
         #: The contended resources linking these flows.
         self.resources: dict[Resource, None] = {}
         self.built_at = now
-        #: Summed weight per contended resource, in ``resources`` order,
-        #: leaving out sums at or below ``_EPSILON``.
-        self.weights: dict[Resource, float] = {}
-        #: The capped flows, sorted by ``(_cap_level, id)``.
-        self.ladder: Sequence[Flow] = ()
+        #: The capped flows, sorted by ``(_cap_level, id)``. Flows that
+        #: left stay behind (the fill skips them) until ``stale`` of
+        #: them make compaction worthwhile, or the ladder is rebuilt.
+        self.ladder: list[Flow] = []
+        self.stale = 0
+        #: Contended resources that a removed flow linked, which must
+        #: still be connected at the next rebuild (else it splits).
+        self.cut: set[Resource] = set()
 
 
 class FlowNetwork:
@@ -311,13 +377,14 @@ class FlowNetwork:
         self._recorder: Optional["MetricRecorder"] = None
         self._usage_dirty: set[Resource] = set()
         self._dirty = False
-        #: Components whose flow membership (or contention) changed since
-        #: the last structural rebuild; they are dissolved and re-flooded.
-        #: A free flow caught by a contention flip is keyed by itself.
-        self._dirty_components: dict[_Component | Flow, None] = {}
+        #: Live components that lost a flow since the last structural
+        #: update; they are re-solved, and checked for a split.
+        self._changed: dict[_Component, None] = {}
         #: Resources whose flow set changed; contention is re-derived for
         #: exactly these at rebuild time.
         self._retag: dict[Resource, None] = {}
+        #: Resources that lost a flow: their weight sums are re-summed.
+        self._resum: dict[Resource, None] = {}
         #: Flows added since the last rebuild (not yet in any component).
         self._new_flows: dict[Flow, None] = {}
         #: Every live component (free flows have none).
@@ -331,12 +398,6 @@ class FlowNetwork:
         #: Event id reserved by a completion wake, armed by the next aim
         #: unless a mutation intervenes (see :meth:`_on_wake`).
         self._wake_ticket: Optional[int] = None
-        #: Set by a ``partitioned-v2`` completion wake until its deferred
-        #: solve: the first mutation before then floods the wake's dirty
-        #: region first, holding the result for the flush.
-        self._rebuild_owed = False
-        self._held: list[_Component | Flow] = []
-        self._held_retag: dict[Resource, None] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -425,19 +486,16 @@ class FlowNetwork:
             flow.remaining = 0.0
             done.succeed(flow)
             return flow
-        if self._rebuild_owed:
-            self._hold_wake_rebuild()
         self._flows[flow] = None
         if size is not None:
             self._finite[flow] = None
         retag = self._retag
-        dirty_components = self._dirty_components
         for resource in resolved:
             resource.flows[flow] = None
+            # The flow has the largest id yet, so this extends the
+            # resource's id-order sum by one term.
+            resource._weight += weight
             retag[resource] = None
-            component = resource._component
-            if component is not None:
-                dirty_components[component] = None
         self._new_flows[flow] = None
         self._mark_dirty()
         return flow
@@ -446,19 +504,24 @@ class FlowNetwork:
         """Detach ``flow`` from all bookkeeping (no settle, no event)."""
         self._flows.pop(flow, None)
         self._finite.pop(flow, None)
-        self._new_flows.pop(flow, None)
         retag = self._retag
-        dirty_components = self._dirty_components
+        resum = self._resum
         for resource in flow.resources:
-            resource.flows.pop(flow, None)
+            del resource.flows[flow]
             retag[resource] = None
-            if resource._component is not None:
-                dirty_components[resource._component] = None
+            resum[resource] = None
         component = flow._component
-        if component is not None:
-            component.flows.pop(flow, None)
-            dirty_components[component] = None
-            flow._component = None
+        if component is None:
+            self._new_flows.pop(flow, None)
+            return
+        flow._component = None
+        del component.flows[flow]
+        if flow.cap is not None:
+            component.stale += 1
+        self._changed[component] = None
+        linked = [r for r in flow.resources if r._component is component]
+        if len(linked) > 1:
+            component.cut.update(linked)
 
     def _remove(self, flow: Flow, fire: bool) -> None:
         if flow not in self._flows:
@@ -466,9 +529,8 @@ class FlowNetwork:
         # Settle first so peers (and the flow itself, if it tied with a
         # completion) account progress at the pre-removal rates.
         self._settle()
-        if self._rebuild_owed:
-            self._hold_wake_rebuild()
-        self._drop(flow)
+        if flow in self._flows:  # the settle may have drained it
+            self._drop(flow)
         if fire and flow.done is not None and not flow.done.triggered:
             flow.done.succeed(flow)
         self._mark_dirty()
@@ -552,123 +614,203 @@ class FlowNetwork:
         self._solve()
 
     def _rebuild_components(self) -> list[_Component | Flow]:
-        """Bring the contention structure up to date for the dirty region.
+        """Bring the contention structure up to date with the marks.
 
-        Pure bookkeeping — no float arithmetic, no event scheduling.
-        Mutations only accumulate marks (`_retag`, `_dirty_components`,
-        `_new_flows`); the dissolve/flood rebuild runs when the
-        partitioned solver rebalances or when introspection asks
+        Pure bookkeeping — no event scheduling, and no float arithmetic
+        beyond re-summing weights. Mutations only accumulate marks (`_retag`, `_resum`, `_changed`,
+        `_new_flows`, each component's ``cut``); this applies them when
+        the partitioned solver rebalances or when introspection asks
         (:meth:`components`, :meth:`component_count`). Under
         ``global-v1`` it stays fully lazy — never on the solve hot path.
-        Classification is re-derived only for resources whose
-        membership changed; a contention flip drags the affected
-        resource's flows (their components, or the flows themselves
-        when free) into the dirty region, which is then dissolved and
-        re-partitioned by flooding across contended resources.
-        Dirty-marking keeps the seed set closed under this traversal: a
-        contended resource crossed by a seed flow always belongs to a
-        dirty (dissolved) component, so no clean component is reached.
+        Components persist, and are updated in four steps:
 
-        A *free* flow — one crossing no contended resource — gets no
-        component: it is returned itself, at the position its singleton
-        component would have taken, so the caller's visiting order is
-        the same either way.
+        1. Resources that lost a flow re-sum their weight in flow id
+           order; every retagged resource is re-classified. A contention
+           flip dissolves the components on the flipped resource and
+           queues their flows, with its component-less flows, for a
+           flood. Flips are the only routine cause of a flood.
+        2. A new flow joins the one component its contended resources
+           belong to, merging them first when there are several (the
+           largest survives). A flow crossing no contended resource is
+           *free*: it gets no component and is returned itself. One
+           crossing a resource that step 1 dissolved is flooded.
+        3. A component that lost a flow linking two or more of its
+           resources (its ``cut``) is searched for those resources
+           still being connected without it; only a real split
+           dissolves it for the flood.
+        4. The queued flows are flooded into new components across
+           contended resources, absorbing any live component reached.
 
-        The flood also pre-sums the fill. ``resource.flows`` iterates in
-        increasing flow id (ids come from one global counter and a flow
-        joins its resources once, right after creation), and every flow
-        crossing a contended resource lands in that resource's
-        component. So the flood's first visit of a contended resource
-        adds ``0.0 + w1 + w2 + ...`` in exactly the order the fill's
-        per-flow pass over the id-sorted members would, and the stable
-        cap-level sort of the id-sorted capped flows is the fill's own
-        ladder. The fill starts from these instead of recomputing them.
+        The result depends on the current flow set and contention only:
+        flows sit in id order and resources in creation order, whichever
+        step placed them, and ``resource._weight`` is the id-order sum a
+        fill's own initial pass would compute (a start extends it by the
+        newest, largest-id flow; a removal re-sums it).
 
-        Returns the freshly built components and free flows — exactly
-        the ones whose flow rates the partitioned solver must recompute.
+        Returns the components and free flows that changed — exactly the
+        ones whose flow rates the partitioned solver must recompute.
         """
-        dirty_components = self._dirty_components
         retagged = self._retag
         new_flows = self._new_flows
-        if not (retagged or dirty_components or new_flows):
+        changed = self._changed
+        if not (retagged or new_flows or changed):
             return []
+        live = self._components
+        fresh: dict[_Component | Flow, None] = dict.fromkeys(changed)
+        self._changed = {}
+        pending: list[Flow] = []
         if retagged:
             self._retag = {}
+            resum = self._resum
+            if resum:
+                self._resum = {}
+                for resource in resum:
+                    total = 0.0
+                    for flow in resource.flows:
+                        total += flow.weight
+                    resource._weight = total
             for resource in retagged:
                 contended = self._classify(resource)
                 if resource._contended != contended:
                     resource._contended = contended
+                    if resource._component is not None:
+                        self._dissolve(resource._component, pending)
                     for flow in resource.flows:
-                        component = flow._component
-                        if component is not None:
-                            dirty_components[component] = None
-                        elif flow not in new_flows:
-                            # A free flow stands in for its singleton.
-                            dirty_components[flow] = None
-        if dirty_components:
-            live = self._components
-            seeds: dict[Flow, None] = {}
-            for component in dirty_components:
-                if type(component) is Flow:
-                    seeds[component] = None
-                    continue
-                live.pop(component, None)
-                seeds.update(component.flows)
-                for resource in component.resources:
-                    if resource._component is component:
-                        resource._component = None
-            seeds.update(new_flows)
-            for flow in seeds:
-                flow._component = None
-        else:
-            # Pure additions: new flows have no component yet.
-            seeds = new_flows
-        now = self.env.now
-        stack: list[Flow] = []
-        fresh: list[_Component | Flow] = []
-        for seed in seeds:
-            if seed._component is not None or seed not in self._flows:
+                        if flow._component is not None:
+                            self._dissolve(flow._component, pending)
+                        else:
+                            pending.append(flow)
+        if new_flows:
+            self._new_flows = {}
+            for flow in new_flows:
+                joined = self._join(flow, pending)
+                if joined is not None:
+                    fresh[joined] = None
+        for item in fresh:
+            if type(item) is _Component and item.cut:
+                cut = item.cut
+                item.cut = set()
+                if item in live and not _connected(item, cut):
+                    self._dissolve(item, pending)
+        for seed in pending:
+            if seed._component is not None:
                 continue
             for resource in seed.resources:
                 if resource._contended:
+                    fresh[self._flood(seed, pending)] = None
                     break
             else:
-                fresh.append(seed)
+                fresh[seed] = None
+        now = self.env.now
+        out: list[_Component | Flow] = []
+        for item in fresh:
+            if type(item) is Flow:
+                out.append(item)
+            elif item in live:
+                item.built_at = now
+                if item.stale > len(item.ladder) >> 1:
+                    item.ladder = [f for f in item.ladder if f._component is item]
+                    item.stale = 0
+                out.append(item)
+        return out
+
+    def _join(self, flow: Flow, pending: list[Flow]) -> _Component | Flow | None:
+        """Place a new flow: in the component its contended resources
+        share (merging theirs first if they differ), or nowhere when it
+        is free (the flow itself is returned). A flow crossing a
+        contended resource without a component is queued for the flood
+        instead (None)."""
+        target = None
+        merging = None
+        for resource in flow.resources:
+            if not resource._contended:
                 continue
-            component = _Component(now)
-            self._components[component] = None
-            fresh.append(component)
-            seed._component = component
-            component.flows[seed] = None
-            weights = component.weights
-            stack.append(seed)
-            while stack:
-                flow = stack.pop()
-                for resource in flow.resources:
-                    if resource._contended and resource._component is not component:
-                        resource._component = component
-                        component.resources[resource] = None
-                        total = 0.0
-                        for other in resource.flows:
-                            total += other.weight
-                            if other._component is not component:
-                                other._component = component
-                                component.flows[other] = None
-                                stack.append(other)
-                        if total > _EPSILON:
-                            weights[resource] = total
-            if len(component.flows) > 1:
-                ordered = sorted(component.flows, key=_flow_id)
-                component.flows = dict.fromkeys(ordered)
-                ladder = [f for f in ordered if f.cap is not None]
-                if len(ladder) > 1:
-                    ladder.sort(key=_cap_level)
-                component.ladder = ladder
-            elif seed.cap is not None:
-                component.ladder = (seed,)
-        dirty_components.clear()
-        self._new_flows = {}
-        return fresh
+            component = resource._component
+            if component is None:
+                pending.append(flow)
+                return None
+            if target is None:
+                target = component
+            elif component is not target:
+                if merging is None:
+                    merging = [target]
+                if component not in merging:
+                    merging.append(component)
+        if target is None:
+            return flow
+        if merging is not None:
+            target = self._merge(merging)
+        # The flow has the largest id yet: it goes last, and after every
+        # capped flow with its cap level.
+        target.flows[flow] = None
+        flow._component = target
+        if flow.cap is not None:
+            insort(target.ladder, flow, key=_cap_level)
+        return target
+
+    def _dissolve(self, component: _Component, pending: list[Flow]) -> None:
+        """Retire a live component, queueing its flows for the flood."""
+        live = self._components
+        if component not in live:
+            return
+        del live[component]
+        for resource in component.resources:
+            resource._component = None
+        for flow in component.flows:
+            flow._component = None
+        pending.extend(component.flows)
+
+    def _merge(self, components: list[_Component]) -> _Component:
+        """Fold ``components`` into the one with the most flows."""
+        survivor = max(components, key=_size)
+        flows: list[Flow] = []
+        resources: list[Resource] = []
+        for component in components:
+            flows += component.flows
+            resources += component.resources
+            if component is survivor:
+                continue
+            del self._components[component]
+            for flow in component.flows:
+                flow._component = survivor
+            for resource in component.resources:
+                resource._component = survivor
+            survivor.cut.update(component.cut)
+        _assign(survivor, flows, resources)
+        return survivor
+
+    def _flood(self, seed: Flow, pending: list[Flow]) -> _Component:
+        """Build the component of ``seed`` by flooding across contended
+        resources; a live component the flood reaches is dissolved and
+        its flows queued, so those still connected are picked up here."""
+        component = _Component(self.env.now)
+        self._components[component] = None
+        seed._component = component
+        flows = [seed]
+        resources: list[Resource] = []
+        stack = [seed]
+        while stack:
+            flow = stack.pop()
+            for resource in flow.resources:
+                if not resource._contended:
+                    continue
+                owner = resource._component
+                if owner is component:
+                    continue
+                if owner is not None:
+                    self._dissolve(owner, pending)
+                resource._component = component
+                resources.append(resource)
+                for other in resource.flows:
+                    owner = other._component
+                    if owner is not component:
+                        if owner is not None:
+                            self._dissolve(owner, pending)
+                        other._component = component
+                        flows.append(other)
+                        stack.append(other)
+        _assign(component, flows, resources)
+        return component
 
     def _rebalance(self) -> None:
         """``global-v1``: recompute all rates via one global fill.
@@ -790,38 +932,17 @@ class FlowNetwork:
     def _rebalance_partitioned(self) -> None:
         """``partitioned-v2``: re-solve only the components that changed.
 
-        The structural rebuild runs eagerly (it is pure bookkeeping and
-        already incremental), then each freshly built component is
-        filled independently. Flows outside the fresh components keep
+        The structural update runs eagerly (it is pure, incremental
+        bookkeeping), then each changed component is filled
+        independently. Flows outside the changed components keep
         their rates: no resource they cross changed membership or
         contention, so their max-min solution is untouched — this is the
         whole point of partitioning. Per-component fills round
         differently at the ULP than v1's global fill (no shared
         accumulator), which the declared-epsilon contract absorbs.
-
-        After a completion wake this also fills the components the wake's
-        region was flooded into, when a mutation made it flood early.
         """
-        self._rebuild_owed = False
         retagged = tuple(self._retag)
         fresh = self._rebuild_components()
-        if self._held_retag or self._held:
-            # A completion wake's flood ran before this instant's later
-            # mutations (see _hold_wake_rebuild). Its components that
-            # are still live were not touched since, so they are filled
-            # here exactly as they were built; dissolved ones were
-            # re-flooded into ``fresh``. (A free flow can be in both;
-            # setting its rate twice is harmless.)
-            live = self._components
-            flows = self._flows
-            fresh = [
-                item for item in self._held
-                if (item in live if type(item) is _Component
-                    else item._component is None and item in flows)
-            ] + fresh
-            retagged = (*self._held_retag, *retagged)
-            self._held = []
-            self._held_retag = {}
         if fresh or retagged:
             touched: dict[Resource, None] = dict.fromkeys(retagged)
             for item in fresh:
@@ -859,10 +980,12 @@ class FlowNetwork:
         the component's contended ones (every flow crossing a contended
         resource is in that resource's component, so the fill is closed)
         and uncontended resources are skipped outright — ``_classify``
-        already proved they can never bottleneck. It starts from the
-        weight sums and cap ladder its flood computed, keeping each
-        candidate's room and active weight in one ``[room, weight]``
-        entry.
+        already proved they can never bottleneck. It scans them in
+        creation order, starting from the weight sum each resource keeps
+        and the component's cap ladder, and keeps each candidate's room
+        and active weight in one ``[room, weight]`` entry. Ladder
+        entries of flows that left the component are skipped like
+        frozen ones.
 
         A resource leaves the candidate scan once its active weight is
         down to ``_EPSILON``: weights only fall during a fill, so it
@@ -871,8 +994,10 @@ class FlowNetwork:
         ``bottlenecks``, are unchanged.
         """
         active: dict[Resource, list[float]] = {}
-        for resource, weight in component.weights.items():
-            active[resource] = [resource.capacity, weight]
+        for resource in component.resources:
+            weight = resource._weight
+            if weight > _EPSILON:
+                active[resource] = [resource.capacity, weight]
         capped = component.ladder
         unfrozen = dict(component.flows)
         eps = _EPSILON
@@ -973,11 +1098,10 @@ class FlowNetwork:
         The processes those completions resume typically start new flows
         at this same instant; solving once after them gives the same
         rates as solving now and again then, because no time passes
-        within an instant and a fill depends only on its component.
-        Under ``partitioned-v2`` the components themselves depend on
-        when they were flooded, which :meth:`_hold_wake_rebuild` keeps
-        as it was. Even a min-tick wake that completed nothing re-solves
-        at the flush.
+        within an instant and a fill depends only on its component,
+        whose membership and order are a function of the current flows
+        and contention alone (under either solver). Even a min-tick wake
+        that completed nothing re-solves at the flush.
 
         The wake event id is reserved now, where an immediate solve
         would have drawn it when re-aiming. If nothing mutates the
@@ -995,23 +1119,6 @@ class FlowNetwork:
         ticket = None if self._dirty else self.env.reserve_eid()
         self._mark_dirty()
         self._wake_ticket = ticket
-        self._rebuild_owed = self.solver == SOLVER_V2
-
-    def _hold_wake_rebuild(self) -> None:
-        """Flood a completion wake's dirty region before the flow set
-        changes again, and hold the result for the deferred solve.
-
-        The flood's seed order, and so each component's resource order
-        and with it the fill's float sequence, depends on which
-        components are dirty at the time. Flooding the wake's region now
-        and the later mutations' region at the flush reproduces exactly
-        the components an immediate wake solve and the flush would have
-        built; only the fills of the wake's components wait, and those
-        the flush dissolves again are never filled.
-        """
-        self._rebuild_owed = False
-        self._held_retag.update(self._retag)
-        self._held.extend(self._rebuild_components())
 
     # -- introspection -----------------------------------------------------
 

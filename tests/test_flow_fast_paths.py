@@ -8,9 +8,9 @@ reference network below solves every free flow as a singleton component
 and fills every component with a verbatim copy of the fill as it was
 before those fast paths, so rates, remainders, usages and even the order
 of the resources handed to the metrics recorder must match with ``==``.
-The fill now starts from weight sums and a cap ladder the component
-flood computed; each live component's must equal what the fill's own
-initial pass used to compute.
+The fill now starts from the weight sum each resource keeps and the cap
+ladder its component keeps; both must equal what the fill's own initial
+pass used to compute.
 """
 
 import math
@@ -97,7 +97,7 @@ def _reference_fill(component: _Component) -> None:
 
 def _reference_init(component: _Component):
     """The fill's starting weight sums and cap ladder, computed the way
-    the fill computed them before the flood took this over."""
+    the fill computed them before the network kept them."""
     weight_sum = {resource: 0.0 for resource in component.resources}
     capped = []
     for flow in component.flows:
@@ -113,16 +113,29 @@ def _reference_init(component: _Component):
     return weight_sum, capped
 
 
-def _assert_flood_presums(net):
-    """Every live component carries exactly the fill's own starting
-    state, and every resource lists its flows in increasing id."""
+def _assert_kept_presums(net):
+    """Every live component hands its fill exactly the fill's own
+    starting state: the kept weight sums of its resources (in scan
+    order, leaving out those at or below ``_EPSILON``) and the live
+    entries of its ladder. Every resource lists its flows in increasing
+    id, and keeps their id-order weight sum even when uncontended."""
     for resource in net.resources.values():
         ids = [flow.id for flow in resource.flows]
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
+        total = 0.0
+        for flow in resource.flows:
+            total += flow.weight
+        assert resource._weight == total
     for component in net._components:
         weight_sum, capped = _reference_init(component)
-        assert list(component.weights.items()) == list(weight_sum.items())
-        assert list(component.ladder) == capped
+        kept = [
+            (resource, resource._weight)
+            for resource in component.resources
+            if resource._weight > _EPSILON
+        ]
+        assert kept == list(weight_sum.items())
+        live = [f for f in component.ladder if f._component is component]
+        assert live == capped
 
 
 class _ReferenceNetwork(FlowNetwork):
@@ -263,7 +276,7 @@ def test_fast_paths_match_the_reference_fill_bit_for_bit(resource_caps, script):
         slow.flush()
         assert fast_env.now == slow_env.now
         _assert_identical(fast, slow, fast_flows, slow_flows)
-        _assert_flood_presums(fast)
+        _assert_kept_presums(fast)
         assert fast_log.calls == slow_log.calls
         expected = _expected_component_count(fast)
         assert fast.component_count() == expected
@@ -308,38 +321,70 @@ def _logged_net(**capacities):
     return net, log
 
 
-def test_contention_flip_seeds_free_flows_in_retag_order():
+def _reference_rates(net):
+    """Every live flow's rate from a fresh reference fill of its
+    component (or of its singleton, when free)."""
+    rates = {}
+    saved = {flow: flow._rate for flow in net._flows}
+    for flow in net._flows:
+        if flow in rates:
+            continue
+        component = flow._component
+        if component is None:
+            component = _Component(net.env.now)
+            component.flows[flow] = None
+        _reference_fill(component)
+        for member in component.flows:
+            rates[member] = member._rate
+    for flow, rate in saved.items():
+        flow._rate = rate
+    return rates
+
+
+def test_contention_flip_pulls_free_flows_into_canonical_components():
     """Two free flows are dragged into components by flips at one
-    instant. They seed the flood in the order their resources were
-    retagged, as their singleton components did, so the recorder sees
-    the touched resources in the same order as before the fast path."""
+    instant, retagged out of creation order. Each lands in its flipped
+    resource's component, the recorder sees every resource the solve
+    touched once, and every rate equals a fresh reference fill."""
     net, log = _logged_net(a=10.0, a2=10.0, c=100.0, e=100.0)
-    net.start_flow(None, ["c", "a"], cap=3.0)
-    net.start_flow(None, ["e", "a2"], cap=3.0)
+    first = net.start_flow(None, ["c", "a"], cap=3.0)
+    second = net.start_flow(None, ["e", "a2"], cap=3.0)
     small = net.start_flow(None, ["a2"], cap=1.0)
     net.flush()
     small.cancel()  # retags a2 before a
     net.start_flow(None, ["a"], cap=8.0)
     net.start_flow(None, ["a2"], cap=8.0)
     net.flush()
-    assert log.calls[-1][1] == ("a2", "a", "e", "c")
+    touched = log.calls[-1][1]
+    assert sorted(touched) == ["a", "a2", "c", "e"]
+    assert len(touched) == len(set(touched))
+    assert [r.name for r in first._component.resources] == ["a"]
+    assert [r.name for r in second._component.resources] == ["a2"]
     assert net.component_count() == 2
+    rates = _reference_rates(net)
+    assert all(flow._rate == rates[flow] for flow in net._flows)
 
 
-def test_flow_turned_free_keeps_its_place_among_fresh_components():
-    """A flow whose only contended resource flips back is re-solved on
-    the free path, in seed order ahead of a later component."""
+def test_flow_turned_free_is_solved_on_the_free_path():
+    """A flow whose only contended resource flips back leaves its
+    component and is re-solved on the free path, at its cap, in the
+    same solve as an unrelated new component."""
     net, log = _logged_net(a=10.0, x=100.0, b=10.0, y=10.0)
     hog = net.start_flow(None, ["a"])
     turned_free = net.start_flow(None, ["a", "x"], cap=1.0)
     net.start_flow(None, ["b", "y"])
     net.flush()
     hog.cancel()
-    net.start_flow(None, ["b"])
+    joined = net.start_flow(None, ["b"])
     net.flush()
     assert turned_free._component is None and turned_free._rate == 1.0
-    assert log.calls[-1][1] == ("a", "b", "x", "y")
+    touched = log.calls[-1][1]
+    assert sorted(touched) == ["a", "b", "x", "y"]
+    assert len(touched) == len(set(touched))
+    assert [r.name for r in joined._component.resources] == ["b", "y"]
     assert net.component_count() == 2
+    rates = _reference_rates(net)
+    assert all(flow._rate == rates[flow] for flow in net._flows)
 
 
 def test_a_flow_crosses_each_resource_once():

@@ -41,17 +41,19 @@ class _ImmediateWakeNetwork(FlowNetwork):
 
 
 def _structure(net):
-    """Every live component: resources and flows in order, plus the
-    flood's weight sums and cap ladder."""
-    return [
+    """Every live component, in a canonical order: resources and flows
+    in order, plus the weight sums its resources keep and the live
+    entries of its cap ladder (what its fill starts from)."""
+    return sorted(
         (
             tuple(r.name for r in component.resources),
             tuple(f.label for f in component.flows),
-            tuple((r.name, w) for r, w in component.weights.items()),
-            tuple(f.label for f in component.ladder),
+            tuple((r.name, r._weight) for r in component.resources),
+            tuple(f.label for f in component.ladder
+                  if f._component is component),
         )
         for component in net._components
-    ]
+    )
 
 
 def _instrument(net, solves):
@@ -200,10 +202,10 @@ def test_deferred_wake_matches_an_immediate_solve(solver, resource_caps, script)
 def test_flow_started_at_a_wake_merges_components_in_the_same_order():
     """The wake drops a flow of component {a, b, c}; the process it
     resumes starts a flow over x then a, merging {x} into it. An
-    immediate solve floods {a, b, c} at the wake, and the flush then
-    seeds the merge from x's component, marked first. Flooding the
-    wake's region in one go with the start's would seed it from the
-    old component instead and order the resources differently."""
+    immediate solve re-solves {a, b, c} at the wake and merges at the
+    flush; the deferred solve does both at the flush. Either way the
+    merged component lists its resources in creation order, so the
+    fills, and every per-instant state, are the same."""
     x, a, b, c = 1, 2, 4, 8
     script = [
         (0.0, [("flow", c, 1.0, None, 1.0), ("flow", x | a, 4.0, None, 1.0)]),
